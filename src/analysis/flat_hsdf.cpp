@@ -33,12 +33,13 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
   // iteration. Slab extents depend only on rates and the repetition
   // vector, so they are immutable; the edges inside a slab depend on
   // the channel's initial tokens and are (re-)encoded by patchChannel.
-  slabOffset_.assign(g.channelCount(), 0);
+  slabOffset_.assign(g.channelCount() + 1, 0);
   std::size_t total = 0;
   for (ChannelId c = 0; c < g.channelCount(); ++c) {
     slabOffset_[c] = total;
     total += q_[g.channel(c).dst] * g.channel(c).consRate;
   }
+  slabOffset_[g.channelCount()] = total;
   edges_.clear();
   edges_.resize(total);
   for (ChannelId c = 0; c < g.channelCount(); ++c) {
@@ -137,7 +138,33 @@ void FlatExpansion::patchChannel(const sdf::TimedGraph& timed, ChannelId channel
   }
 }
 
-const std::vector<CycleRatioEdge>& FlatExpansion::collapse() {
+const std::vector<CycleRatioEdge>& FlatExpansion::collapse(
+    std::span<const ChannelId> excluded) {
+  // Slabs are contiguous and in channel order, so the kept edges are
+  // the gaps between excluded slabs plus the fixed tail.
+  const std::size_t channels = slabOffset_.size() - 1;
+  excluded_.assign(channels, 0);
+  for (const ChannelId c : excluded) {
+    if (c >= channels) {
+      throw AnalysisError("FlatExpansion::collapse: excluded channel out of range");
+    }
+    excluded_[c] = 1;
+  }
+  ranges_.clear();
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < channels; ++c) {
+    if (excluded_[c] == 0) {
+      continue;
+    }
+    if (slabOffset_[c] > begin) {
+      ranges_.emplace_back(begin, slabOffset_[c]);
+    }
+    begin = slabOffset_[c + 1];
+  }
+  if (edges_.size() > begin) {
+    ranges_.emplace_back(begin, edges_.size());
+  }
+
   // Collapse parallel edges to the minimum-delay representative. The
   // groups are not static — a slab's endpoints move with its token
   // count — so the grouping is redone per call, but hash-free: a
@@ -148,8 +175,10 @@ const std::vector<CycleRatioEdge>& FlatExpansion::collapse() {
   collapsed_.clear();
   collapsed_.reserve(edges_.size());
   srcOff_.assign(n + 1, 0);
-  for (const CycleRatioEdge& e : edges_) {
-    ++srcOff_[e.from + 1];
+  for (const auto& [first, last] : ranges_) {
+    for (std::size_t i = first; i < last; ++i) {
+      ++srcOff_[edges_[i].from + 1];
+    }
   }
   for (std::uint32_t v = 0; v < n; ++v) {
     srcOff_[v + 1] += srcOff_[v];
@@ -158,9 +187,11 @@ const std::vector<CycleRatioEdge>& FlatExpansion::collapse() {
   {
     std::vector<std::uint32_t>& cursor = seenSlot_;  // reuse as fill cursor
     cursor.assign(n, 0);
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      const std::uint32_t v = edges_[i].from;
-      srcIdx_[srcOff_[v] + cursor[v]++] = static_cast<std::uint32_t>(i);
+    for (const auto& [first, last] : ranges_) {
+      for (std::size_t i = first; i < last; ++i) {
+        const std::uint32_t v = edges_[i].from;
+        srcIdx_[srcOff_[v] + cursor[v]++] = static_cast<std::uint32_t>(i);
+      }
     }
   }
   seenEpoch_.assign(n, 0);

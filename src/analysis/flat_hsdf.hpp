@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/mcm.hpp"
@@ -60,8 +62,15 @@ class FlatExpansion {
   /// internal table — exactly the reduction the string-graph MCR path
   /// applies before Howard runs. The returned reference stays valid
   /// until the next collapse()/build() call.
+  /// @param excluded channels whose token slabs are left out, giving
+  ///   the expansion of the graph with those channels removed (same
+  ///   firing copies, self-concurrency edges and static-order chains);
+  ///   IncrementalThroughput::infiniteBufferBound uses this. Channel ids
+  ///   of the graph build() ran on, in any order, duplicates allowed.
   /// @return the collapsed edge table, ready for CycleRatioSolver
-  [[nodiscard]] const std::vector<CycleRatioEdge>& collapse();
+  /// @throws AnalysisError when an excluded channel is out of range
+  [[nodiscard]] const std::vector<CycleRatioEdge>& collapse(
+      std::span<const sdf::ChannelId> excluded = {});
 
   /// Total firing copies of the expansion (the HSDF actor count).
   /// @return sum over actors of the repetition count
@@ -72,8 +81,13 @@ class FlatExpansion {
   std::vector<std::uint32_t> copyStart_;  ///< actor -> first firing copy
   std::uint64_t hsdfActors_ = 0;          ///< total firing copies
   std::vector<CycleRatioEdge> edges_;     ///< [channel slabs][self-conc][static order]
-  std::vector<std::size_t> slabOffset_;   ///< channel -> offset into edges_
+  /// channel -> offset into edges_; one extra entry marks the end of
+  /// the last slab (the start of the fixed self-concurrency edges)
+  std::vector<std::size_t> slabOffset_;
   std::vector<CycleRatioEdge> collapsed_;  ///< scratch: min-delay per pair
+  /// Edge ranges [first, second) of edges_ that collapse() reads.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges_;
+  std::vector<char> excluded_;  ///< channel -> slab left out of collapse()
   // Collapse scratch: counting-sort buckets by source plus an
   // epoch-stamped slot table per target — O(E + V) with no hashing.
   std::vector<std::uint32_t> srcOff_;      ///< V+1 bucket offsets by edge source

@@ -50,7 +50,25 @@ ThroughputResult IncrementalThroughput::compute() {
     return resources_ ? computeThroughput(timed_, *resources_, options_)
                       : computeThroughput(timed_, options_);
   }
+  return solveFlat({});
+}
 
+std::optional<ThroughputResult> IncrementalThroughput::infiniteBufferBound(
+    std::span<const ChannelId> unbounded) {
+  if (!fastPath_) {
+    return std::nullopt;
+  }
+  // The masked table differs from the last compute()'s only by the
+  // left-out slabs, so its policy is a good seed; keep that policy for
+  // the next compute() on the full table.
+  SolverWarmStart policy;
+  solver_.exportWarmStart(policy);
+  ThroughputResult bound = solveFlat(unbounded);
+  solver_.adoptWarmStart(policy);
+  return bound;
+}
+
+ThroughputResult IncrementalThroughput::solveFlat(std::span<const ChannelId> excluded) {
   ThroughputResult result;
   result.engine = ThroughputEngine::Mcr;
   result.hsdfActors = flat_.hsdfActors();
@@ -62,7 +80,7 @@ ThroughputResult IncrementalThroughput::compute() {
   const std::vector<CycleRatioEdge>* edges = nullptr;
   {
     support::ScopedTimer timer(result.expansionNanos);
-    edges = &flat_.collapse();
+    edges = &flat_.collapse(excluded);
   }
   CycleRatioResult mcr;
   {

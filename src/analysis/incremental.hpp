@@ -15,6 +15,12 @@
 // computeThroughput() call on the patched graph (pinned by the
 // randomized properties in tests/analysis_property_test.cpp).
 //
+// The context also answers when growing buffers has stopped paying:
+// infiniteBufferBound() solves the expansion without the capacity
+// channels' slabs, which is the verdict the graph approaches as those
+// capacities grow without limit (see "Growth saturation" in
+// docs/throughput.md).
+//
 // Graphs the MCR fast path cannot represent exactly keep their existing
 // path: compute() falls back to the unified computeThroughput() entry
 // point on an internally patched graph copy, so the state-space engine
@@ -24,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/flat_hsdf.hpp"
@@ -71,6 +78,26 @@ class IncrementalThroughput {
   /// @return the throughput verdict, including which engine ran
   [[nodiscard]] ThroughputResult compute();
 
+  /// The verdict the graph approaches when the channels in `unbounded`
+  /// get unlimited initial tokens: the maximum cycle ratio over the
+  /// cycles that avoid those channels (MCR-infinity), solved on the
+  /// expansion with their slabs left out (FlatExpansion::collapse).
+  /// Adding tokens never lowers self-timed throughput and the cycles
+  /// outside `unbounded` never change, so while only those channels'
+  /// tokens grow, every later compute() lies between its predecessor
+  /// and this bound; once compute() equals it in status and rational,
+  /// it stays equal. The solve runs on the context's own solver, seeded
+  /// from the last compute()'s policy, which is restored afterwards.
+  /// One solve: call it once per context.
+  /// @param unbounded channel ids of the constructed graph whose
+  ///   capacities may grow (duplicates allowed)
+  /// @return the bound's status, rational, engine and hsdfActors
+  ///   (Unbounded when no cycle avoids `unbounded`); nullopt off the
+  ///   fast path
+  /// @throws AnalysisError when a channel is out of range
+  [[nodiscard]] std::optional<ThroughputResult> infiniteBufferBound(
+      std::span<const sdf::ChannelId> unbounded);
+
   /// True when queries run on the cached MCR expansion (the incremental
   /// path); false when every compute() delegates to the unified entry
   /// point.
@@ -94,6 +121,13 @@ class IncrementalThroughput {
   void exportWarmStart(SolverWarmStart& warm) const { solver_.exportWarmStart(warm); }
 
  private:
+  /// Collapse the cached expansion and solve it on solver_ (fast path
+  /// only).
+  /// @param excluded channels whose token slabs are left out (empty:
+  ///   the whole expansion)
+  /// @return the verdict, as compute() reports it
+  ThroughputResult solveFlat(std::span<const sdf::ChannelId> excluded);
+
   sdf::TimedGraph timed_;  ///< current token state (also the fallback input)
   std::optional<ResourceConstraints> resources_;
   ThroughputOptions options_;

@@ -259,21 +259,20 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
 
     // --- Policy improvement ------------------------------------------
     // Label-correcting improvement: when v adopts a better successor,
-    // its (ratio, value) label is rewritten in place so improvements
-    // chain within this phase instead of crawling one node per outer
-    // evaluation along long HSDF cycles. One full pass in descending id
-    // order (expansion edges mostly point from lower to higher copy
-    // ids, so a descending scan propagates a whole chain at once)
-    // collects every node whose label rose; a FIFO worklist then
-    // rescans just the predecessors of risen nodes — cost proportional
-    // to actual changes, not extra full edge scans. Per-node labels
-    // only ever increase lexicographically in (ratio, value), so the
-    // phase terminates (the pop budget is a defensive cap; anything
-    // left over is caught by the next outer iteration). Intermediate
-    // labels only steer the pivot path: the outer loop exits solely
-    // when a pass over the *exact* evaluation finds no improvement —
-    // the classical Howard termination condition — so the unique
-    // fixpoint is unchanged.
+    // its (ratio, value) label is rewritten in place, so later
+    // relaxations in the same phase already see it instead of crawling
+    // one node per outer evaluation along long HSDF cycles. The phase
+    // makes at most two full passes over the nodes, in alternating
+    // direction, and stops after a pass that changes nothing. The first
+    // pass runs in descending id order: expansion edges mostly point
+    // from lower to higher copy ids, so relaxing successors first
+    // carries an improvement along a whole chain at once. The second
+    // pass, in ascending order, serves the edges that point the other
+    // way; anything left over is caught by the next outer iteration.
+    // Intermediate labels only steer the pivot path: the outer loop
+    // exits solely when the first pass, which starts from the *exact*
+    // evaluation, finds no improvement — the classical Howard
+    // termination condition — so the unique fixpoint is unchanged.
     const auto relax = [&](std::uint32_t v) -> bool {
       bool changed = false;
       const std::uint32_t off = hs.outOff[v];

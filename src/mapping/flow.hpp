@@ -3,6 +3,7 @@
 // guaranteed-throughput analysis of the resulting binding-aware graph.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -41,6 +42,18 @@ struct MappingResult {
   BindingAwareModel model;            ///< built with WCETs
   analysis::ThroughputResult throughput;  ///< the conservative guarantee
   bool meetsConstraint = false;
+  /// The buffer-growth round from which the throughput equaled the
+  /// infinite-buffer bound (IncrementalThroughput::infiniteBufferBound
+  /// over the capacity channels): buffers were not what kept this point
+  /// from its constraint, and growing them further could not change the
+  /// result, so later rounds grow the buffers without re-solving. Set
+  /// only for points that miss their constraint with a growth budget on
+  /// the MCR fast path; empty when growth could still raise the rate
+  /// (buffers were the limit), when the constraint was met, when
+  /// `bufferGrowthRounds` is 0, and always for the from-scratch
+  /// reference loop (MappingOptions::incrementalAnalysis off), which
+  /// re-solves every round and computes no bound.
+  std::optional<std::uint32_t> saturatedAtRound;
   /// Per-tile load and memory accounting, produced by the shared
   /// platform::ResourceBudget: the committed reservations (runtime-layer
   /// baseline plus every application admitted so far, this one included)

@@ -125,6 +125,19 @@ void patchCapacityTokens(const sdf::Graph& g, const Mapping& mapping, BindingAwa
   }
 }
 
+/// The binding-aware channels whose tokens buffer growth changes.
+std::vector<ChannelId> capacityChannels(const BindingAwareModel& model) {
+  std::vector<ChannelId> channels;
+  for (const CapacityEdgeIds& ids : model.capacityEdges) {
+    for (const ChannelId id : {ids.localSpace, ids.alphaSrc, ids.alphaDst}) {
+      if (id != sdf::kInvalidChannel) {
+        channels.push_back(id);
+      }
+    }
+  }
+  return channels;
+}
+
 }  // namespace
 
 std::optional<MappingResult> mapOntoBudget(const AppAnalysisCache& cache,
@@ -235,15 +248,33 @@ std::optional<MappingResult> mapOntoBudget(const AppAnalysisCache& cache,
       context.adoptWarmStart(*options.solverWarmStart);
     }
     result.throughput = context.compute();
+    // Growth only adds tokens to the capacity channels, so the rate
+    // climbs toward the infinite-buffer bound and, once there, stays
+    // (docs/throughput.md, "Growth saturation"). From that round on the
+    // buffers are still grown as the from-scratch loop grows them, but
+    // not re-solved.
+    std::optional<analysis::ThroughputResult> bound;
     for (std::uint32_t round = 0;; ++round) {
       const bool met = constraintMet(result.throughput);
+      if (!met && options.bufferGrowthRounds > 0 && !result.saturatedAtRound) {
+        if (round == 0) {
+          bound = context.infiniteBufferBound(capacityChannels(result.model));
+        }
+        if (bound && bound->status == result.throughput.status &&
+            bound->iterationsPerCycle == result.throughput.iterationsPerCycle) {
+          result.saturatedAtRound = round;
+        }
+      }
       if (met || round >= options.bufferGrowthRounds) {
         result.meetsConstraint = met;
         break;
       }
       growBuffers(g, result.mapping);
-      patchCapacityTokens(g, result.mapping, result.model, &context);
-      result.throughput = context.compute();
+      analysis::IncrementalThroughput* live = result.saturatedAtRound ? nullptr : &context;
+      patchCapacityTokens(g, result.mapping, result.model, live);
+      if (live != nullptr) {
+        result.throughput = context.compute();
+      }
     }
     if (options.solverWarmStart != nullptr && context.onFastPath()) {
       context.exportWarmStart(*options.solverWarmStart);

@@ -4,6 +4,8 @@
 // flow level, and the shared application-preparation cache.
 #include <gtest/gtest.h>
 
+#include "apps/mjpeg/actors.hpp"
+#include "apps/mjpeg/testdata.hpp"
 #include "mapping/dse.hpp"
 #include "platform/arch_template.hpp"
 #include "sdf/repetition_vector.hpp"
@@ -61,6 +63,27 @@ void expectPointwiseEqual(const DseResult& a, const DseResult& b) {
   }
 }
 
+/// Bit-identity of the growth loop against the from-scratch reference:
+/// verdict, buffers and the final binding-aware model's tokens.
+void expectSameAsFromScratch(const MappingResult& a, const MappingResult& b) {
+  EXPECT_EQ(a.throughput.status, b.throughput.status);
+  EXPECT_EQ(a.throughput.iterationsPerCycle, b.throughput.iterationsPerCycle);
+  EXPECT_EQ(a.throughput.engine, b.throughput.engine);
+  EXPECT_EQ(a.throughput.hsdfActors, b.throughput.hsdfActors);
+  EXPECT_EQ(a.meetsConstraint, b.meetsConstraint);
+  EXPECT_EQ(a.mapping.localCapacityTokens, b.mapping.localCapacityTokens);
+  EXPECT_EQ(a.mapping.srcBufferTokens, b.mapping.srcBufferTokens);
+  EXPECT_EQ(a.mapping.dstBufferTokens, b.mapping.dstBufferTokens);
+  // The final binding-aware models must agree channel for channel
+  // (the incremental path patches instead of rebuilding).
+  ASSERT_EQ(a.model.graph.graph.channelCount(), b.model.graph.graph.channelCount());
+  for (sdf::ChannelId c = 0; c < a.model.graph.graph.channelCount(); ++c) {
+    EXPECT_EQ(a.model.graph.graph.channel(c).initialTokens,
+              b.model.graph.graph.channel(c).initialTokens)
+        << "channel " << a.model.graph.graph.channel(c).name;
+  }
+}
+
 TEST(DseTest, ParallelSweepMatchesSerialPointForPoint) {
   // The determinism contract: any thread count returns the same result
   // vector as the serial run, in input order.
@@ -93,21 +116,72 @@ TEST(DseTest, IncrementalFlowMatchesFromScratchFlow) {
     if (!a) {
       continue;
     }
-    EXPECT_EQ(a->throughput.status, b->throughput.status);
-    EXPECT_EQ(a->throughput.iterationsPerCycle, b->throughput.iterationsPerCycle);
-    EXPECT_EQ(a->meetsConstraint, b->meetsConstraint);
-    EXPECT_EQ(a->mapping.localCapacityTokens, b->mapping.localCapacityTokens);
-    EXPECT_EQ(a->mapping.srcBufferTokens, b->mapping.srcBufferTokens);
-    EXPECT_EQ(a->mapping.dstBufferTokens, b->mapping.dstBufferTokens);
-    // The final binding-aware models must agree channel for channel
-    // (the incremental path patches instead of rebuilding).
-    ASSERT_EQ(a->model.graph.graph.channelCount(), b->model.graph.graph.channelCount());
-    for (sdf::ChannelId c = 0; c < a->model.graph.graph.channelCount(); ++c) {
-      EXPECT_EQ(a->model.graph.graph.channel(c).initialTokens,
-                b->model.graph.graph.channel(c).initialTokens)
-          << "channel " << a->model.graph.graph.channel(c).name;
-    }
+    expectSameAsFromScratch(*a, *b);
   }
+}
+
+/// The MJPEG decoder with bench_dse's calibration, under a constraint
+/// of one MCU per `cyclesPerMcu` cycles.
+ApplicationModel mjpegAt(std::int64_t cyclesPerMcu) {
+  const auto calibration = mjpeg::encodeSequence(mjpeg::makeSyntheticSequence(2, 64, 48), {});
+  mjpeg::MjpegApp app = mjpeg::buildMjpegApp(mjpeg::calibrateWcets(calibration));
+  app.model.setThroughputConstraint(Rational(1, cyclesPerMcu));
+  return std::move(app.model);
+}
+
+/// The Section 7 sweep's single-tile FSL point (buffer scale 1, growth
+/// budget 6), mapped by the growth loop and by the from-scratch loop.
+struct SingleTilePoint {
+  std::optional<MappingResult> grown;
+  std::optional<MappingResult> reference;
+};
+
+SingleTilePoint mapSingleTileFsl(const ApplicationModel& app, std::uint32_t growthRounds = 6) {
+  platform::TemplateRequest request;
+  request.tileCount = 1;
+  request.interconnect = InterconnectKind::Fsl;
+  const platform::Architecture arch = platform::generateFromTemplate(request);
+  MappingOptions options;
+  options.initialBufferScale = 1;
+  options.bufferGrowthRounds = growthRounds;
+  MappingOptions scratch = options;
+  scratch.incrementalAnalysis = false;
+  return {mapApplication(app, arch, options), mapApplication(app, arch, scratch)};
+}
+
+TEST(DseTest, SaturatedMjpegPointStopsAtTheInfiniteBufferBound) {
+  // One tile cannot decode an MCU in 900000 cycles with any buffers.
+  // Its static order deadlocks on the initial buffers until growth
+  // round 4, where the rate reaches the infinite-buffer bound 1/1304732
+  // and stays, so rounds 5 and 6 grow the buffers without solving.
+  const SingleTilePoint point = mapSingleTileFsl(mjpegAt(900'000));
+  ASSERT_TRUE(point.grown.has_value());
+  ASSERT_TRUE(point.reference.has_value());
+  EXPECT_FALSE(point.grown->meetsConstraint);
+  EXPECT_EQ(point.grown->throughput.iterationsPerCycle, Rational(1, 1'304'732));
+  ASSERT_TRUE(point.grown->saturatedAtRound.has_value());
+  EXPECT_EQ(*point.grown->saturatedAtRound, 4u);
+  EXPECT_FALSE(point.reference->saturatedAtRound.has_value());
+  expectSameAsFromScratch(*point.grown, *point.reference);
+}
+
+TEST(DseTest, MjpegPointMeetingItsConstraintAfterGrowthIsNotSaturated) {
+  const ApplicationModel app = mjpegAt(1'600'000);
+  const SingleTilePoint point = mapSingleTileFsl(app);
+  ASSERT_TRUE(point.grown.has_value());
+  ASSERT_TRUE(point.reference.has_value());
+  EXPECT_TRUE(point.grown->meetsConstraint);
+  EXPECT_FALSE(point.grown->saturatedAtRound.has_value());
+  expectSameAsFromScratch(*point.grown, *point.reference);
+
+  // The constraint was met by growing: the initial buffers miss it,
+  // and without a growth budget no bound is computed.
+  const SingleTilePoint initial = mapSingleTileFsl(app, 0);
+  ASSERT_TRUE(initial.grown.has_value());
+  EXPECT_FALSE(initial.grown->meetsConstraint);
+  EXPECT_FALSE(initial.grown->saturatedAtRound.has_value());
+  EXPECT_NE(initial.grown->mapping.localCapacityTokens,
+            point.grown->mapping.localCapacityTokens);
 }
 
 TEST(DseTest, ResultsComeBackInInputOrderWithLabels) {
