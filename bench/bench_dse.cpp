@@ -1,7 +1,8 @@
 // DSE engine benchmark: sweep >= 100 MJPEG design points twice in the
-// same run — once with the serial from-scratch baseline (no shared
-// application preparation, every buffer-growth round rebuilds the
-// binding-aware model and runs a cold analysis) and once with the
+// same run — once with the serial from-scratch baseline (a plain
+// mapApplication loop: no shared application preparation, every
+// buffer-growth round rebuilds the binding-aware model and runs a cold
+// analysis) and once with the
 // engine (shared AppAnalysisCache, incremental re-analysis with
 // warm-started Howard, worker pool) — and verify the two sweeps'
 // throughput rationals are bit-identical. Prints one JSON object to
@@ -13,12 +14,15 @@
 // separate 1-worker engine sweep because the committed figure is a
 // 1-core one: per-point times of a multi-worker sweep include the
 // workers' contention for shared caches and memory bandwidth.
+#include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 
 #include "apps/mjpeg/actors.hpp"
 #include "apps/mjpeg/testdata.hpp"
 #include "mapping/dse.hpp"
+#include "platform/arch_template.hpp"
 
 using namespace mamps;
 
@@ -52,16 +56,20 @@ int main() {
     }
   }
 
-  // Baseline: serial, from-scratch, no reuse anywhere.
-  std::vector<mapping::DesignPoint> baselinePoints = points;
-  for (mapping::DesignPoint& point : baselinePoints) {
-    point.options.incrementalAnalysis = false;
+  // Baseline: serial, from-scratch, no reuse anywhere — every point
+  // builds its platform and maps the raw application model (which
+  // prepares it again) with incremental re-analysis off.
+  std::vector<std::optional<mapping::MappingResult>> baseline;
+  baseline.reserve(points.size());
+  const auto baselineStart = std::chrono::steady_clock::now();
+  for (const mapping::DesignPoint& point : points) {
+    const platform::Architecture arch = platform::generateFromTemplate(point.platform);
+    mapping::MappingOptions options = point.options;
+    options.incrementalAnalysis = false;
+    baseline.push_back(mapping::mapApplication(app.model, arch, options));
   }
-  mapping::DseOptions serialOptions;
-  serialOptions.threads = 1;
-  serialOptions.reusePreparation = false;
-  const mapping::DseResult baseline =
-      mapping::exploreDesignSpace(app.model, baselinePoints, serialOptions);
+  const double baselineSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - baselineStart).count();
 
   // The engine: incremental re-analysis, shared preparation, worker
   // pool; once on every hardware thread (sweep throughput) and once on
@@ -71,29 +79,28 @@ int main() {
   oneWorker.threads = 1;
   const mapping::DseResult serialEngine = mapping::exploreDesignSpace(app.model, points, oneWorker);
 
-  const auto sameOutcome = [](const mapping::DseResult& a, const mapping::DseResult& b) {
-    if (a.points.size() != b.points.size()) {
+  const auto sameOutcome = [&baseline](const mapping::DseResult& sweep) {
+    if (sweep.points.size() != baseline.size()) {
       return false;
     }
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-      const auto& x = a.points[i];
-      const auto& y = b.points[i];
-      if (x.feasible() != y.feasible()) {
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      const auto& x = baseline[i];
+      const auto& y = sweep.points[i].mapping;
+      if (x.has_value() != y.has_value()) {
         return false;
       }
-      if (x.feasible() &&
-          !(x.mapping->throughput.status == y.mapping->throughput.status &&
-            x.mapping->throughput.iterationsPerCycle == y.mapping->throughput.iterationsPerCycle &&
-            x.mapping->meetsConstraint == y.mapping->meetsConstraint &&
-            x.mapping->mapping.localCapacityTokens == y.mapping->mapping.localCapacityTokens &&
-            x.mapping->mapping.srcBufferTokens == y.mapping->mapping.srcBufferTokens &&
-            x.mapping->mapping.dstBufferTokens == y.mapping->mapping.dstBufferTokens)) {
+      if (x && !(x->throughput.status == y->throughput.status &&
+                 x->throughput.iterationsPerCycle == y->throughput.iterationsPerCycle &&
+                 x->meetsConstraint == y->meetsConstraint &&
+                 x->mapping.localCapacityTokens == y->mapping.localCapacityTokens &&
+                 x->mapping.srcBufferTokens == y->mapping.srcBufferTokens &&
+                 x->mapping.dstBufferTokens == y->mapping.dstBufferTokens)) {
         return false;
       }
     }
     return true;
   };
-  const bool identical = sameOutcome(baseline, engine) && sameOutcome(baseline, serialEngine);
+  const bool identical = sameOutcome(engine) && sameOutcome(serialEngine);
   std::size_t met = 0;
   for (const mapping::DesignPointResult& point : engine.points) {
     met += point.feasible() && point.mapping->meetsConstraint ? 1 : 0;
@@ -108,8 +115,7 @@ int main() {
   const double meanPointMs = serialEngine.meanPointSeconds() * 1e3;
   const bool withinBudget = meanPointMs <= kGateFactor * kCommittedMeanPointMs;
 
-  const double speedup =
-      engine.totalSeconds > 0.0 ? baseline.totalSeconds / engine.totalSeconds : 0.0;
+  const double speedup = engine.totalSeconds > 0.0 ? baselineSeconds / engine.totalSeconds : 0.0;
   std::printf("{\n");
   std::printf("  \"bench\": \"bench_dse\",\n");
   std::printf("  \"workload\": \"MJPEG decoder, constraint 1/1250000, growth budget 6\",\n");
@@ -117,7 +123,7 @@ int main() {
   std::printf("  \"threads\": %u,\n", std::max(1u, std::thread::hardware_concurrency()));
   std::printf("  \"feasible\": %zu,\n", engine.feasibleCount());
   std::printf("  \"meets_constraint\": %zu,\n", met);
-  std::printf("  \"baseline_seconds\": %.3f,\n", baseline.totalSeconds);
+  std::printf("  \"baseline_seconds\": %.3f,\n", baselineSeconds);
   std::printf("  \"engine_seconds\": %.3f,\n", engine.totalSeconds);
   std::printf("  \"engine_mean_point_ms\": %.2f,\n", meanPointMs);
   std::printf("  \"engine_mean_point_ms_all_threads\": %.2f,\n",

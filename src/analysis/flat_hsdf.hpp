@@ -96,4 +96,23 @@ class FlatExpansion {
   std::vector<std::uint32_t> seenSlot_;    ///< target -> collapsed_ index
 };
 
+/// Collapse `flat`, solve its maximum cycle ratio on `solver` (warm
+/// started from, and leaving behind, the solver's policy), and report
+/// it as a throughput verdict: Ok with 1/MCR, Deadlock for a token-free
+/// cycle or an empty expansion, Unbounded when no cycle constrains the
+/// period or every cycle has zero execution time. The one mapping from
+/// CycleRatioResult to ThroughputResult, shared by
+/// computeThroughputMcr() and IncrementalThroughput.
+/// @param flat a built expansion
+/// @param solver the solver to run (its warm-start hints are used and
+///   updated)
+/// @param excluded channels whose token slabs are left out (see
+///   FlatExpansion::collapse)
+/// @return the verdict with `engine == ThroughputEngine::Mcr`,
+///   `hsdfActors`, and the collapse/solve time in
+///   expansionNanos/solveNanos
+/// @throws AnalysisError when an excluded channel is out of range
+[[nodiscard]] ThroughputResult flatThroughput(FlatExpansion& flat, CycleRatioSolver& solver,
+                                              std::span<const sdf::ChannelId> excluded = {});
+
 }  // namespace mamps::analysis

@@ -121,13 +121,6 @@ class IncrementalThroughput {
   void exportWarmStart(SolverWarmStart& warm) const { solver_.exportWarmStart(warm); }
 
  private:
-  /// Collapse the cached expansion and solve it on solver_ (fast path
-  /// only).
-  /// @param excluded channels whose token slabs are left out (empty:
-  ///   the whole expansion)
-  /// @return the verdict, as compute() reports it
-  ThroughputResult solveFlat(std::span<const sdf::ChannelId> excluded);
-
   sdf::TimedGraph timed_;  ///< current token state (also the fallback input)
   std::optional<ResourceConstraints> resources_;
   ThroughputOptions options_;

@@ -1,10 +1,7 @@
 #include "analysis/mcm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/flat_hsdf.hpp"
@@ -77,12 +74,11 @@ struct ComponentOutcome {
   std::vector<std::uint32_t> successor;  ///< converged policy (local ids)
 };
 
-/// Reusable arenas of one Howard instance. Each solve worker owns one
-/// (the sequential path keeps one in the solver's Scratch, the parallel
-/// path one per thread), so repeated component solves allocate nothing
-/// once the capacities have grown — the vector-of-vectors adjacency this
-/// replaces cost one allocation per node per solve and dominated DSE
-/// sweep profiles.
+/// Reusable arenas of one Howard instance, kept in the solver's Scratch
+/// and shared by its component solves, so repeated solves allocate
+/// nothing once the capacities have grown — the vector-of-vectors
+/// adjacency this replaces cost one allocation per node per solve and
+/// dominated DSE sweep profiles.
 struct HowardScratch {
   std::vector<Edge> local;                   // component edges, local ids
   std::vector<std::uint32_t> hint;           // local warm-start hints
@@ -384,8 +380,7 @@ struct CycleRatioSolver::Scratch {
   std::vector<std::uint32_t> localIndex;              // node -> id within comp
   std::vector<std::uint32_t> compNodeOff, compNodes;  // comp -> nodes (id order)
   std::vector<std::uint32_t> compEdgeOff, compEdges;  // comp -> work-edge ids
-  // --- Howard arenas for the sequential path (parallel workers own
-  // one HowardScratch each on their stack) ----------------------------
+  // --- Howard arenas, reused by every component solve ----------------
   HowardScratch howard;
 
   std::size_t cyclicCore(std::size_t n, const std::vector<Edge>& edges);
@@ -640,11 +635,10 @@ CycleRatioSolver::CycleRatioSolver(CycleRatioSolver&&) noexcept = default;
 CycleRatioSolver& CycleRatioSolver::operator=(CycleRatioSolver&&) noexcept = default;
 
 CycleRatioSolver::CycleRatioSolver(const CycleRatioSolver& other)
-    : preferredSuccessor_(other.preferredSuccessor_), threads_(other.threads_) {}
+    : preferredSuccessor_(other.preferredSuccessor_) {}
 
 CycleRatioSolver& CycleRatioSolver::operator=(const CycleRatioSolver& other) {
   preferredSuccessor_ = other.preferredSuccessor_;
-  threads_ = other.threads_;
   return *this;
 }
 
@@ -694,8 +688,7 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
 
   // Decompose into strongly connected components. Every cycle lives
   // inside one component, so the global maximum ratio is the maximum of
-  // the per-component maxima — independent problems that can be solved
-  // concurrently without any result depending on scheduling.
+  // the per-component maxima.
   const std::uint32_t comps = s.computeSccs(n);
   if (comps == 0) {
     result.status = CycleRatioResult::Status::Acyclic;
@@ -705,62 +698,30 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
 
   const bool haveHints = preferredSuccessor_.size() == n;
   std::vector<ComponentOutcome> outcomes(comps);
-  std::vector<std::exception_ptr> errors(comps);
-  const auto solveComponent = [&](std::uint32_t c, HowardScratch& hs) {
-    try {
-      const std::uint32_t nodeBegin = s.compNodeOff[c];
-      const std::uint32_t nodeEnd = s.compNodeOff[c + 1];
-      const std::size_t m = nodeEnd - nodeBegin;
-      hs.local.clear();
-      hs.local.reserve(s.compEdgeOff[c + 1] - s.compEdgeOff[c]);
-      for (std::uint32_t i = s.compEdgeOff[c]; i < s.compEdgeOff[c + 1]; ++i) {
-        Edge e = s.work[s.compEdges[i]];
-        e.from = s.localIndex[e.from];
-        e.to = s.localIndex[e.to];
-        hs.local.push_back(e);
-      }
-      hs.hint.assign(m, kNoNode);
-      if (haveHints) {
-        for (std::uint32_t i = nodeBegin; i < nodeEnd; ++i) {
-          const std::uint32_t global = s.compNodes[i];
-          const std::uint32_t preferred = preferredSuccessor_[global];
-          if (preferred < n && s.comp[preferred] == c) {
-            hs.hint[i - nodeBegin] = s.localIndex[preferred];
-          }
-        }
-      }
-      outcomes[c] = howardComponent(m, hs);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
-  };
-
-  const auto workers = static_cast<unsigned>(
-      std::min<std::uint32_t>(threads_, comps));
-  if (workers > 1) {
-    // Workers pull component ids from a shared counter; each writes only
-    // its own outcomes/errors slot, and the reduction below runs after
-    // all joins, in component-id order — bit-identical for any schedule.
-    std::atomic<std::uint32_t> next{0};
-    std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        HowardScratch hs;
-        for (std::uint32_t c = next.fetch_add(1); c < comps; c = next.fetch_add(1)) {
-          solveComponent(c, hs);
-        }
-      });
-    }
-  } else {
-    for (std::uint32_t c = 0; c < comps; ++c) {
-      solveComponent(c, s.howard);
-    }
-  }
+  HowardScratch& hs = s.howard;
   for (std::uint32_t c = 0; c < comps; ++c) {
-    if (errors[c]) {
-      std::rethrow_exception(errors[c]);
+    const std::uint32_t nodeBegin = s.compNodeOff[c];
+    const std::uint32_t nodeEnd = s.compNodeOff[c + 1];
+    const std::size_t m = nodeEnd - nodeBegin;
+    hs.local.clear();
+    hs.local.reserve(s.compEdgeOff[c + 1] - s.compEdgeOff[c]);
+    for (std::uint32_t i = s.compEdgeOff[c]; i < s.compEdgeOff[c + 1]; ++i) {
+      Edge e = s.work[s.compEdges[i]];
+      e.from = s.localIndex[e.from];
+      e.to = s.localIndex[e.to];
+      hs.local.push_back(e);
     }
+    hs.hint.assign(m, kNoNode);
+    if (haveHints) {
+      for (std::uint32_t i = nodeBegin; i < nodeEnd; ++i) {
+        const std::uint32_t global = s.compNodes[i];
+        const std::uint32_t preferred = preferredSuccessor_[global];
+        if (preferred < n && s.comp[preferred] == c) {
+          hs.hint[i - nodeBegin] = s.localIndex[preferred];
+        }
+      }
+    }
+    outcomes[c] = howardComponent(m, hs);
   }
 
   // Deterministic reduction: strict maximum in component-id order.
@@ -952,74 +913,30 @@ sdf::HsdfExpansion toHsdfWithStaticOrder(const sdf::TimedGraph& timed,
 }
 
 ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
-                                      const ResourceConstraints* resources,
-                                      const ThroughputOptions& options) {
+                                      const ResourceConstraints* resources) {
   if (timed.execTime.size() != timed.graph.actorCount()) {
     throw AnalysisError("computeThroughputMcr: execTime size does not match actor count");
   }
-  ThroughputResult result;
-  result.engine = ThroughputEngine::Mcr;
   if (!sdf::isConsistent(timed.graph)) {
+    ThroughputResult result;
+    result.engine = ThroughputEngine::Mcr;
     result.status = ThroughputResult::Status::Inconsistent;
-    return result;
-  }
-  if (timed.graph.actorCount() == 0) {
-    result.status = ThroughputResult::Status::Deadlock;
     return result;
   }
 
   // Flat expansion: the same encoding sdf::toHsdf plus
   // toHsdfWithStaticOrder would produce, but as contiguous index tables
   // — no graph object, no name strings, no per-element allocation.
+  std::uint64_t buildNanos = 0;
   FlatExpansion flat;
-  const std::vector<CycleRatioEdge>* edges = nullptr;
   {
-    support::ScopedTimer timer(result.expansionNanos);
+    support::ScopedTimer timer(buildNanos);
     flat.build(timed, resources);
-    edges = &flat.collapse();
   }
-  result.hsdfActors = flat.hsdfActors();
-
   CycleRatioSolver solver;
-  solver.setThreads(options.solverThreads);
-  CycleRatioResult mcr;
-  {
-    support::ScopedTimer timer(result.solveNanos);
-    mcr = solver.solve(static_cast<std::size_t>(flat.hsdfActors()), *edges);
-  }
-  switch (mcr.status) {
-    case CycleRatioResult::Status::Ok:
-      if (mcr.ratio.isZero()) {
-        // Every cycle has zero total execution time: the graph fires
-        // infinitely fast (matches the state-space verdict for a live
-        // zero-time cycle).
-        result.status = ThroughputResult::Status::Unbounded;
-      } else {
-        result.status = ThroughputResult::Status::Ok;
-        result.iterationsPerCycle = mcr.ratio.reciprocal();
-      }
-      return result;
-    case CycleRatioResult::Status::Deadlock:
-      result.status = ThroughputResult::Status::Deadlock;
-      result.iterationsPerCycle = Rational(0);
-      return result;
-    case CycleRatioResult::Status::Acyclic:
-      // No cycle constrains the period. With self-concurrency limits in
-      // {0, 1} this requires every actor to be unconstrained, which only
-      // happens for graphs of limit-0 actors: unbounded throughput.
-      result.status = ThroughputResult::Status::Unbounded;
-      return result;
-  }
-  result.status = ThroughputResult::Status::Unbounded;
+  ThroughputResult result = flatThroughput(flat, solver);
+  result.expansionNanos += buildNanos;
   return result;
-}
-
-std::optional<Rational> throughputViaMcr(const sdf::TimedGraph& timed) {
-  const ThroughputResult result = computeThroughputMcr(timed);
-  if (!result.ok()) {
-    return std::nullopt;
-  }
-  return result.iterationsPerCycle;
 }
 
 }  // namespace mamps::analysis

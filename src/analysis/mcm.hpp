@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analysis/throughput.hpp"
@@ -87,11 +86,10 @@ struct SolverWarmStart {
 /// Internally a solve runs Kahn-style cyclic-core peeling, a zero-delay
 /// deadlock check, ratio-preserving chain contraction, strongly
 /// connected component decomposition, and one Howard instance per
-/// component (components are independent, so the maximum over them is
-/// the global MCR and, with setThreads(), components solve in
-/// parallel without affecting any result). All per-solve scratch is
-/// retained across calls, so repeated solves allocate nothing on the
-/// steady state.
+/// component, solved in component-id order (every cycle lies inside one
+/// component, so the maximum over them is the global MCR). All per-solve
+/// scratch is retained across calls, so repeated solves allocate
+/// nothing on the steady state.
 class CycleRatioSolver {
  public:
   CycleRatioSolver();
@@ -112,14 +110,6 @@ class CycleRatioSolver {
   [[nodiscard]] CycleRatioResult solve(std::size_t nodeCount,
                                       const std::vector<CycleRatioEdge>& edges);
 
-  /// Worker threads for the independent per-SCC Howard solves (large
-  /// expansions with several strongly connected components solve them
-  /// concurrently). Results are bit-identical for any thread count —
-  /// the per-component problems share nothing and the maximum over
-  /// components is reduced in deterministic component order.
-  /// @param threads thread cap; 0 and 1 both mean sequential
-  void setThreads(unsigned threads) { threads_ = threads == 0 ? 1 : threads; }
-
   /// Seed the next solve() from a previously exported policy.
   /// @param warm the handle to copy hints from
   void adoptWarmStart(const SolverWarmStart& warm) {
@@ -137,7 +127,6 @@ class CycleRatioSolver {
   struct Scratch;  // reusable per-solve arenas; defined in mcm.cpp
 
   std::vector<std::uint32_t> preferredSuccessor_;  ///< warm-start hints
-  unsigned threads_ = 1;                           ///< per-SCC solve threads
   std::unique_ptr<Scratch> scratch_;               ///< lazily created, reused
 };
 
@@ -179,22 +168,15 @@ class CycleRatioSolver {
 /// when `resources` is non-null) and Howard's policy iteration. Never
 /// returns Status::Diverged or StepLimit; for graphs that are not
 /// strongly bounded it reports the exact long-run iteration completion
-/// rate. Only `options.solverThreads` affects this entry point (engine
-/// selection already happened when it is called); the per-phase
-/// expansion/solve counters of the result are filled in.
+/// rate. Engine selection already happened when it is called, so no
+/// ThroughputOptions field applies; the per-phase expansion/solve
+/// counters of the result are filled in.
 /// @param timed the SDF graph to analyze
 /// @param resources optional binding and static orders (may be null)
-/// @param options solver tuning (thread count for per-SCC solves)
 /// @return a ThroughputResult with `engine == ThroughputEngine::Mcr`
 /// @throws AnalysisError on shape violations (execTime size, schedule
 ///   appearance counts)
 [[nodiscard]] ThroughputResult computeThroughputMcr(
-    const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr,
-    const ThroughputOptions& options = {});
-
-/// Throughput of an SDF graph via conversion to HSDF and MCR analysis.
-/// @param timed the SDF graph to analyze
-/// @return iterations per cycle; nullopt when deadlocked (or empty)
-[[nodiscard]] std::optional<Rational> throughputViaMcr(const sdf::TimedGraph& timed);
+    const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr);
 
 }  // namespace mamps::analysis

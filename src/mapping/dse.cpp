@@ -71,28 +71,17 @@ std::string makeLabel(const DesignPoint& point) {
 /// point-local or immutable shared state except `warm`, which is owned
 /// by exactly one worker (each worker passes its own handle), so points
 /// are freely parallelizable.
-DesignPointResult explorePoint(const std::vector<const sdf::ApplicationModel*>& apps,
-                               const std::vector<AppAnalysisCache>* caches,
-                               const DesignPoint& point, analysis::SolverWarmStart* warm) {
+DesignPointResult explorePoint(const std::vector<AppAnalysisCache>& caches,
+                               const DesignPoint& point, analysis::SolverWarmStart& warm) {
   DesignPointResult result;
   result.label = makeLabel(point);
   const auto start = Clock::now();
   const platform::Architecture arch = platform::generateFromTemplate(point.platform);
-  // Uncached sweeps (the from-scratch baseline) prepare per point.
-  std::vector<AppAnalysisCache> local;
-  const auto cacheFor = [&](std::size_t i) -> const AppAnalysisCache& {
-    if (caches != nullptr) {
-      return (*caches)[i];
-    }
-    return local.emplace_back(prepareApplication(*apps[i]));
-  };
   std::uint32_t fslLinks = 0;
   if (point.workloadApps.empty()) {
     MappingOptions options = point.options;
-    if (warm != nullptr) {
-      options.solverWarmStart = warm;
-    }
-    result.mapping = mapApplication(cacheFor(0), arch, options);
+    options.solverWarmStart = &warm;
+    result.mapping = mapApplication(caches[0], arch, options);
     if (result.mapping) {
       fslLinks = result.mapping->mapping.fslLinkCount();
     }
@@ -100,14 +89,12 @@ DesignPointResult explorePoint(const std::vector<const sdf::ApplicationModel*>& 
     std::vector<AppAnalysisCache> workload;
     workload.reserve(point.workloadApps.size());
     for (const std::size_t i : point.workloadApps) {
-      workload.push_back(cacheFor(i));
+      workload.push_back(caches[i]);
     }
     WorkloadOptions options = point.workloadOptions;
-    if (warm != nullptr) {
-      options.options.solverWarmStart = warm;
-      for (MappingOptions& appOptions : options.appOptions) {
-        appOptions.solverWarmStart = warm;
-      }
+    options.options.solverWarmStart = &warm;
+    for (MappingOptions& appOptions : options.appOptions) {
+      appOptions.solverWarmStart = &warm;
     }
     result.workload = mapWorkload(workload, arch, options);
     for (const std::optional<MappingResult>& app : result.workload->apps) {
@@ -160,15 +147,11 @@ DseResult exploreDesignSpace(const std::vector<const sdf::ApplicationModel*>& ap
       }
     }
   }
-  std::optional<std::vector<AppAnalysisCache>> caches;
-  if (options.reusePreparation) {
-    caches.emplace();
-    caches->reserve(apps.size());
-    for (const sdf::ApplicationModel* app : apps) {
-      caches->push_back(prepareApplication(*app));
-    }
+  std::vector<AppAnalysisCache> caches;
+  caches.reserve(apps.size());
+  for (const sdf::ApplicationModel* app : apps) {
+    caches.push_back(prepareApplication(*app));
   }
-  const std::vector<AppAnalysisCache>* sharedCaches = caches ? &*caches : nullptr;
 
   DseResult out;
   out.points.resize(points.size());
@@ -182,10 +165,9 @@ DseResult exploreDesignSpace(const std::vector<const sdf::ApplicationModel*>& ap
   ErrorCollector errors;
   const auto worker = [&] {
     analysis::SolverWarmStart warm;
-    analysis::SolverWarmStart* warmPtr = options.crossPointWarmStart ? &warm : nullptr;
     for (std::size_t i = next.fetch_add(1); i < points.size(); i = next.fetch_add(1)) {
       try {
-        out.points[i] = explorePoint(apps, sharedCaches, points[i], warmPtr);
+        out.points[i] = explorePoint(caches, points[i], warm);
       } catch (...) {
         errors.capture();
       }

@@ -17,6 +17,12 @@
 // count, including 1 (pinned by tests/dse_test.cpp). Workers share only
 // immutable state (the application model and its cache); each design
 // point owns its architecture, mapping, and analysis context outright.
+// Each worker threads one analysis::SolverWarmStart through the points
+// it processes, so a point's Howard solves seed from the previous
+// point's converged policy (points run in input order, which generated
+// sweeps lay out so neighbors differ in one knob). That is result-
+// neutral: Howard converges to the unique maximum cycle ratio from any
+// initial policy (see docs/throughput.md).
 #pragma once
 
 #include <cstddef>
@@ -83,21 +89,6 @@ struct DesignPointResult {
 struct DseOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// Share one AppAnalysisCache across all points. Disabling re-prepares
-  /// the application per point; it exists for the from-scratch baseline
-  /// of bench/bench_dse.cpp and changes nothing about the results.
-  bool reusePreparation = true;
-  /// Cross-point Howard warm starts: each worker keeps one
-  /// analysis::SolverWarmStart handle and threads it through the points
-  /// it processes, so a point's cycle-ratio solves seed from the
-  /// previous point's converged policy (points are swept in input
-  /// order, which generated sweeps lay out so neighbors differ in one
-  /// knob). Pure acceleration — results are bit-identical with the
-  /// flag off, with any thread count, and for any point-to-worker
-  /// assignment, because Howard converges to the unique maximum cycle
-  /// ratio from any initial policy (see docs/throughput.md). Exists as
-  /// a flag for the cold baseline of bench/bench_dse.cpp.
-  bool crossPointWarmStart = true;
 };
 
 /// Result of a sweep.

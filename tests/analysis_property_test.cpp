@@ -123,10 +123,10 @@ TEST_P(RandomGraphProperty, StateSpaceThroughputMatchesMcrOnHsdf) {
   ThroughputOptions stateSpace;
   stateSpace.engine = ThroughputEngine::StateSpace;
   const auto viaStateSpace = computeThroughput(bounded, stateSpace);
-  const auto viaMcr = throughputViaMcr(bounded);
+  const ThroughputResult viaMcr = computeThroughputMcr(bounded);
   ASSERT_TRUE(viaStateSpace.ok());
-  ASSERT_TRUE(viaMcr.has_value());
-  EXPECT_EQ(viaStateSpace.iterationsPerCycle, *viaMcr)
+  ASSERT_TRUE(viaMcr.ok());
+  EXPECT_EQ(viaStateSpace.iterationsPerCycle, viaMcr.iterationsPerCycle)
       << "state-space and MCR throughput disagree (seed " << GetParam() << ")";
 }
 
@@ -380,14 +380,14 @@ TEST_P(RandomGraphProperty, BoundedThroughputNeverExceedsUnbounded) {
   const Graph g = test::randomConsistentGraph(rng, opt);
   const TimedGraph timed{g, test::randomExecTimes(rng, g)};
   // Unbounded-buffer ceiling via MCR (handles non-strongly-bounded graphs).
-  const auto unbounded = throughputViaMcr(timed);
-  ASSERT_TRUE(unbounded.has_value());
+  const ThroughputResult unbounded = computeThroughputMcr(timed);
+  ASSERT_TRUE(unbounded.ok());
 
   auto capacities = minimalDeadlockFreeCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   const auto bounded = computeThroughput(withCapacities(timed, *capacities));
   ASSERT_TRUE(bounded.ok());
-  EXPECT_LE(bounded.iterationsPerCycle, *unbounded);
+  EXPECT_LE(bounded.iterationsPerCycle, unbounded.iterationsPerCycle);
 }
 
 TEST_P(RandomGraphProperty, ThroughputMonotoneUnderCapacityGrowth) {

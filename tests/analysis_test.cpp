@@ -127,7 +127,9 @@ TEST(ThroughputTest, Figure2WithCapacitiesMatchesMcr) {
   const TimedGraph bounded = withCapacities(timed, *capacities);
   const auto result = computeThroughput(bounded);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.iterationsPerCycle, throughputViaMcr(bounded).value());
+  const ThroughputResult mcr = computeThroughputMcr(bounded);
+  ASSERT_TRUE(mcr.ok());
+  EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
 
 TEST(ThroughputTest, MultiRatePipelineMatchesHandComputation) {
@@ -262,12 +264,12 @@ TEST(CycleRatioTest, HowardMatchesBruteForceOnKnownGraph) {
 TEST(CycleRatioTest, ThroughputViaMcrMatchesStateSpace) {
   // A strongly connected graph recurs without extra capacities.
   const sdf::TimedGraph timed{test::ringGraph(4), {2, 5, 3, 7}};
-  const auto mcr = throughputViaMcr(timed);
+  const ThroughputResult mcr = computeThroughputMcr(timed);
   const auto ss = computeThroughput(timed);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, Rational(1, 17));
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 17));
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
 }
 
 TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
@@ -277,7 +279,7 @@ TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1);
   const sdf::TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_FALSE(throughputViaMcr(timed).has_value());
+  EXPECT_FALSE(computeThroughputMcr(timed).ok());
 }
 
 // ----------------------------------------------------------- UnifiedEngine
@@ -416,7 +418,9 @@ TEST(EngineDispatchTest, PrefixPruningKeepsResultExact) {
   pruned.maxStoredStates = 4;  // clamped to the internal minimum of 16
   const auto result = computeThroughput(timed, pruned);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.iterationsPerCycle, throughputViaMcr(timed).value());
+  const ThroughputResult mcr = computeThroughputMcr(timed);
+  ASSERT_TRUE(mcr.ok());
+  EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
 
 // ----------------------------------------------------------- HsdfEdgeCases
@@ -430,14 +434,14 @@ TEST(HsdfEdgeCaseTest, SelfLoopWithExcessTokens) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1, 3, "ring");  // 3 tokens > consRate 1
   const TimedGraph timed{std::move(g), {4, 6}};
-  const auto mcr = throughputViaMcr(timed);
+  const ThroughputResult mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
-  EXPECT_EQ(*mcr, Rational(1, 6));  // enough tokens: the slower actor dominates
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 6));  // enough tokens: the slower actor dominates
 }
 
 TEST(HsdfEdgeCaseTest, MultiRateChainWithLargeRepetitionVector) {
@@ -474,13 +478,13 @@ TEST(HsdfEdgeCaseTest, InitialTokensExceedingConsumptionRate) {
   g.connect(a, 2, b, 3, 7, "ab");  // 7 initial tokens, cons 3
   g.connect(b, 3, a, 2, 0, "ba");  // mirrored rates keep q = [3, 2]
   const TimedGraph timed{std::move(g), {5, 4}};
-  const auto mcr = throughputViaMcr(timed);
+  const ThroughputResult mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
 }
 
 TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
@@ -489,14 +493,14 @@ TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
   const auto a = g.addActor("a");
   g.connect(a, 2, a, 2, 4, "self");
   const TimedGraph timed{std::move(g), {9}};
-  const auto mcr = throughputViaMcr(timed);
+  const ThroughputResult mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
-  EXPECT_EQ(*mcr, Rational(1, 9));  // serialized by the seq constraint
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 9));  // serialized by the seq constraint
 }
 
 // ------------------------------------------------------------------ Buffer

@@ -1,7 +1,10 @@
 // Tests for the design-space exploration engine: determinism of the
 // parallel sweep (point-for-point equality with the serial run),
 // equivalence of the incremental and from-scratch analysis paths at
-// flow level, and the shared application-preparation cache.
+// flow level, and the shared application-preparation cache (sweep
+// level and mapApplication level). Equality of whole sweeps with
+// independent from-scratch mappings is pinned by
+// PerfWall.DseWarmStartAndThreadsAreResultIdentical (tests/perf_test.cpp).
 #include <gtest/gtest.h>
 
 #include "apps/mjpeg/actors.hpp"
@@ -227,13 +230,25 @@ TEST(DseTest, EmptySweepReturnsEmptyResult) {
 }
 
 TEST(DseTest, SharedPreparationMatchesPerPointPreparation) {
+  // The sweep prepares the application once and shares that
+  // AppAnalysisCache across all points; mapping each point on its own
+  // (mapApplication prepares the application afresh every call) must
+  // give the same result point for point.
   const ApplicationModel app = constrainedApp();
   const auto points = sweepPoints();
-  DseOptions shared;  // default: reusePreparation = true
-  DseOptions perPoint;
-  perPoint.reusePreparation = false;
-  expectPointwiseEqual(exploreDesignSpace(app, points, shared),
-                       exploreDesignSpace(app, points, perPoint));
+  DseOptions serial;
+  serial.threads = 1;
+  const DseResult shared = exploreDesignSpace(app, points, serial);
+  DseResult perPoint;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const platform::Architecture arch = platform::generateFromTemplate(points[i].platform);
+    DesignPointResult result;
+    result.label = shared.points.at(i).label;
+    result.mapping = mapApplication(app, arch, points[i].options);
+    perPoint.points.push_back(std::move(result));
+  }
+  EXPECT_GT(shared.feasibleCount(), 0u);
+  expectPointwiseEqual(shared, perPoint);
 }
 
 TEST(DseTest, CachedMapApplicationMatchesUncached) {

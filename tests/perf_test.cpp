@@ -1,19 +1,21 @@
 // Property wall for the flat-data analysis core: every performance
 // mechanism introduced by the arena/SoA rewrite — the flat HSDF
-// expansion, cross-point Howard warm starts, and the per-SCC parallel
-// solves — must be *result-invisible*. Each test sweeps 125 random
-// seeds and requires bit-identical ThroughputResults (rational,
-// schedules, buffers, statesExplored) between the optimized path and a
-// reference path: the legacy sdf::toHsdf expansion, a cold sequential
-// solver, or the from-scratch mapping pipeline
-// (MappingOptions::incrementalAnalysis off). Per the contract in
-// analysis/throughput.hpp, the comparison covers every field *except*
-// the wall-clock phase counters (expansionNanos/solveNanos/storeNanos),
-// which are measurements, not results.
+// expansion, cross-point Howard warm starts, and the DSE engine's
+// shared preparation and worker pool — must be *result-invisible*.
+// Each test sweeps 125 random seeds (or a sweep of design points) and
+// requires bit-identical ThroughputResults (rational, schedules,
+// buffers, statesExplored) between the optimized path and a reference
+// path: the legacy sdf::toHsdf expansion, a cold solver, or the
+// from-scratch mapping pipeline (MappingOptions::incrementalAnalysis
+// off). Per the contract in analysis/throughput.hpp, the comparison
+// covers every field *except* the wall-clock phase counters
+// (expansionNanos/solveNanos/storeNanos), which are measurements, not
+// results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/incremental.hpp"
@@ -22,6 +24,7 @@
 #include "mapping/dse.hpp"
 #include "mapping/flow.hpp"
 #include "platform/arch_template.hpp"
+#include "platform/area.hpp"
 #include "sdf/hsdf.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -52,7 +55,7 @@ TEST(PerfWall, FlatExpansionMatchesLegacyHsdfExpansion) {
     const ThroughputResult flat = computeThroughputMcr(timed);
 
     // Reference: the copy-out expansion (sdf/hsdf.cpp) feeding a cold
-    // solver — the pre-flat pipeline, still used by throughputViaMcr.
+    // solver — the pre-flat pipeline, kept as this test's oracle.
     const sdf::HsdfExpansion legacy = sdf::toHsdf(timed);
     ASSERT_EQ(flat.hsdfActors, legacy.hsdf.graph.actorCount()) << "seed " << seed;
     const CycleRatioResult ref = maxCycleRatioHoward(legacy.hsdf);
@@ -81,7 +84,7 @@ TEST(PerfWall, FlatExpansionMatchesLegacyHsdfExpansion) {
   }
 }
 
-TEST(PerfWall, WarmStartAndThreadCountAreResultIdentical) {
+TEST(PerfWall, WarmStartIsResultIdentical) {
   // One handle chained across all 125 graphs: most adoptions are
   // cross-graph (wrong size, wrong shape), which per SolverWarmStart's
   // contract must be just as harmless as a well-matched seed.
@@ -93,23 +96,17 @@ TEST(PerfWall, WarmStartAndThreadCountAreResultIdentical) {
 
     const ThroughputResult cold = computeThroughputMcr(timed);
 
-    ThroughputOptions threaded;
-    threaded.solverThreads = 3;
-    expectSameResult(computeThroughputMcr(timed, nullptr, threaded), cold, seed, "threads=3");
-
     IncrementalThroughput warm(timed);
     warm.adoptWarmStart(chained);
     expectSameResult(warm.compute(), cold, seed, "warm-started");
     warm.exportWarmStart(chained);
 
-    // Warm start and threading composed, twice in a row on one context
-    // (the second solve warm-starts from the first's converged policy).
-    ThroughputOptions both;
-    both.solverThreads = 4;
-    IncrementalThroughput combined(timed, nullptr, both);
-    combined.adoptWarmStart(chained);
-    expectSameResult(combined.compute(), cold, seed, "warm+threads first");
-    expectSameResult(combined.compute(), cold, seed, "warm+threads second");
+    // Twice in a row on one context (the second solve warm-starts from
+    // the first's converged policy).
+    IncrementalThroughput twice(timed);
+    twice.adoptWarmStart(chained);
+    expectSameResult(twice.compute(), cold, seed, "warm first");
+    expectSameResult(twice.compute(), cold, seed, "warm second");
   }
 }
 
@@ -203,8 +200,44 @@ TEST(PerfWall, MappingPathsBitIdenticalToFromScratchBaseline) {
 }
 
 TEST(PerfWall, DseWarmStartAndThreadsAreResultIdentical) {
+  // Reference: every point mapped on its own by the from-scratch
+  // pipeline — its own preparation, a cold solver per buffer-growth
+  // round, no policy carried over from a neighbor. Equality with the
+  // sweep at 1 and 4 workers shows the shared AppAnalysisCache, the
+  // cross-point warm starts and the worker pool are all result-neutral.
+  const auto expectSweepMatchesIndependentMappings = [](const sdf::ApplicationModel& app,
+                                                        const std::vector<DesignPoint>& points) {
+    std::vector<std::optional<MappingResult>> reference;
+    std::vector<std::uint32_t> slices;
+    std::vector<std::string> labels;
+    for (const DesignPoint& point : points) {
+      const platform::Architecture arch = platform::generateFromTemplate(point.platform);
+      MappingOptions scratch = point.options;
+      scratch.incrementalAnalysis = false;
+      reference.push_back(mapApplication(app, arch, scratch));
+      slices.push_back(platform::platformSlices(
+          arch, reference.back() ? reference.back()->mapping.fslLinkCount() : 0));
+      labels.push_back(std::to_string(point.platform.tileCount) + "t_" +
+                       std::string(platform::interconnectKindName(point.platform.interconnect)));
+      // Area is genuinely wired through: a feasible point occupies slices.
+      if (reference.back()) {
+        EXPECT_GT(slices.back(), 0u);
+      }
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      DseOptions options;
+      options.threads = threads;
+      const DseResult got = exploreDesignSpace(app, points, options);
+      ASSERT_EQ(got.points.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(got.points[i].label, labels[i]) << "point " << i;
+        EXPECT_EQ(got.points[i].platformSlices, slices[i]) << "point " << i;
+        expectSameMapping(got.points[i].mapping, reference[i], i, "dse point");
+      }
+    }
+  };
+
   Rng rng(9000);
-  const sdf::ApplicationModel app = randomApp(rng);
   std::vector<DesignPoint> points;
   for (std::uint32_t tiles = 2; tiles <= 4; ++tiles) {
     for (const auto kind : {platform::InterconnectKind::Fsl, platform::InterconnectKind::NocMesh}) {
@@ -214,33 +247,25 @@ TEST(PerfWall, DseWarmStartAndThreadsAreResultIdentical) {
       points.push_back(point);
     }
   }
+  expectSweepMatchesIndependentMappings(randomApp(rng), points);
 
-  DseOptions cold;
-  cold.threads = 1;
-  cold.crossPointWarmStart = false;
-  const DseResult reference = exploreDesignSpace(app, points, cold);
-  ASSERT_EQ(reference.points.size(), points.size());
-
-  DseOptions warmSequential;
-  warmSequential.threads = 1;
-  DseOptions warmParallel;
-  warmParallel.threads = 4;
-  for (const DseOptions& options : {warmSequential, warmParallel}) {
-    const DseResult got = exploreDesignSpace(app, points, options);
-    ASSERT_EQ(got.points.size(), reference.points.size());
-    for (std::size_t i = 0; i < got.points.size(); ++i) {
-      EXPECT_EQ(got.points[i].label, reference.points[i].label) << "point " << i;
-      EXPECT_EQ(got.points[i].platformSlices, reference.points[i].platformSlices)
-          << "point " << i;
-      expectSameMapping(got.points[i].mapping, reference.points[i].mapping, i, "dse point");
+  // Figure 2 with heavy WCETs and a constraint most points only meet
+  // after buffer growth, from minimal buffers on 1 to 4 tiles, so the
+  // warm starts carried between points run through growth rounds.
+  sdf::ApplicationModel constrained =
+      test::makeAppModel(test::figure2Graph(), {500, 800, 400});
+  constrained.setThroughputConstraint(Rational(1, 2600));
+  points.clear();
+  for (const auto kind : {platform::InterconnectKind::Fsl, platform::InterconnectKind::NocMesh}) {
+    for (std::uint32_t tiles = 1; tiles <= 4; ++tiles) {
+      DesignPoint point;
+      point.platform.tileCount = tiles;
+      point.platform.interconnect = kind;
+      point.options.initialBufferScale = 1;
+      points.push_back(point);
     }
   }
-  // Area is genuinely wired through: a feasible point occupies slices.
-  for (const DesignPointResult& point : reference.points) {
-    if (point.feasible()) {
-      EXPECT_GT(point.platformSlices, 0u);
-    }
-  }
+  expectSweepMatchesIndependentMappings(constrained, points);
 }
 
 }  // namespace
