@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sdf/hsdf.hpp"
-#include "sdf/repetition_vector.hpp"
 #include "support/timer.hpp"
 
 namespace mamps::analysis {
@@ -12,16 +11,16 @@ using sdf::ActorId;
 using sdf::Channel;
 using sdf::ChannelId;
 
-void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraints* resources) {
+void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                          const std::vector<std::uint64_t>& q) {
   const sdf::Graph& g = timed.graph;
   if (timed.execTime.size() != g.actorCount()) {
     throw AnalysisError("FlatExpansion: execTime size does not match actor count");
   }
-  const auto qOpt = sdf::computeRepetitionVector(g);
-  if (!qOpt) {
-    throw AnalysisError("FlatExpansion: graph '" + g.name() + "' is inconsistent");
+  if (q.size() != g.actorCount()) {
+    throw AnalysisError("FlatExpansion: repetition vector size does not match actor count");
   }
-  q_ = *qOpt;
+  q_ = q;
 
   copyStart_.resize(g.actorCount());
   hsdfActors_ = 0;
@@ -258,6 +257,23 @@ ThroughputResult flatThroughput(FlatExpansion& flat, CycleRatioSolver& solver,
       return result;
   }
   result.status = ThroughputResult::Status::Unbounded;
+  return result;
+}
+
+ThroughputResult expandAndSolve(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                                const std::vector<std::uint64_t>& q) {
+  // Flat expansion: the same encoding sdf::toHsdf plus
+  // toHsdfWithStaticOrder would produce, but as contiguous index tables
+  // — no graph object, no name strings, no per-element allocation.
+  std::uint64_t buildNanos = 0;
+  FlatExpansion flat;
+  {
+    support::ScopedTimer timer(buildNanos);
+    flat.build(timed, resources, q);
+  }
+  CycleRatioSolver solver;
+  ThroughputResult result = flatThroughput(flat, solver);
+  result.expansionNanos += buildNanos;
   return result;
 }
 

@@ -40,15 +40,18 @@ namespace mamps::analysis {
 class FlatExpansion {
  public:
   /// Encode the expansion of `timed` (channel token slabs, then
-  /// self-concurrency edges, then static-order chains). The graph must
-  /// be consistent; static orders, when given, must be exact (every
-  /// bound actor appears exactly q[a] times on its own resource), which
-  /// is what mcrFastPathApplicable() checks.
+  /// self-concurrency edges, then static-order chains). Static orders,
+  /// when given, must be exact (every bound actor appears exactly q[a]
+  /// times on its own resource), which is what mcrFastPathApplicable()
+  /// checks.
   /// @param timed the SDF graph with one execution time per actor
   /// @param resources optional binding and static orders (may be null)
-  /// @throws AnalysisError when the graph is inconsistent or a static
-  ///   order is not exact
-  void build(const sdf::TimedGraph& timed, const ResourceConstraints* resources);
+  /// @param q the repetition vector of `timed.graph`, as
+  ///   sdf::computeRepetitionVector returns it for a consistent graph
+  /// @throws AnalysisError when `q` does not match the actor count or a
+  ///   static order is not exact
+  void build(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+             const std::vector<std::uint64_t>& q);
 
   /// Re-encode one channel's token slab after its initial-token count
   /// changed in `timed`. O(q[dst] * consRate) of the channel.
@@ -114,5 +117,18 @@ class FlatExpansion {
 /// @throws AnalysisError when an excluded channel is out of range
 [[nodiscard]] ThroughputResult flatThroughput(FlatExpansion& flat, CycleRatioSolver& solver,
                                               std::span<const sdf::ChannelId> excluded = {});
+
+/// One cold MCR analysis: build the flat expansion of `timed` from its
+/// repetition vector and solve it once on a fresh solver. The body of
+/// computeThroughputMcr() for callers that already hold `q`.
+/// @param timed the SDF graph with one execution time per actor
+/// @param resources optional binding and static orders (may be null)
+/// @param q the repetition vector of `timed.graph`
+/// @return the flatThroughput() verdict, with the build time added to
+///   expansionNanos
+/// @throws AnalysisError as FlatExpansion::build
+[[nodiscard]] ThroughputResult expandAndSolve(const sdf::TimedGraph& timed,
+                                              const ResourceConstraints* resources,
+                                              const std::vector<std::uint64_t>& q);
 
 }  // namespace mamps::analysis

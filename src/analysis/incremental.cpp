@@ -1,5 +1,7 @@
 #include "analysis/incremental.hpp"
 
+#include "sdf/repetition_vector.hpp"
+
 namespace mamps::analysis {
 
 using sdf::ChannelId;
@@ -24,8 +26,9 @@ IncrementalThroughput::IncrementalThroughput(const sdf::TimedGraph& timed,
   if (fastPath_) {
     // The immutable prefix (topology, repetition vector, self-
     // concurrency edges, static-order chains) is encoded once here;
-    // setInitialTokens only re-encodes the touched channel's slab.
-    flat_.build(timed_, res);
+    // setInitialTokens only re-encodes the touched channel's slab. The
+    // fast path implies a consistent graph, so the vector exists.
+    flat_.build(timed_, res, *sdf::computeRepetitionVector(timed_.graph));
   }
 }
 

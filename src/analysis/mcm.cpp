@@ -7,7 +7,6 @@
 #include "analysis/flat_hsdf.hpp"
 #include "sdf/hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
-#include "support/timer.hpp"
 
 namespace mamps::analysis {
 namespace {
@@ -20,6 +19,7 @@ using Edge = CycleRatioEdge;
 using Wide = __int128;
 
 constexpr std::uint32_t kNoNode = 0xffffffffu;
+constexpr std::uint32_t kNoEdge = 0xffffffffu;
 
 void requireHsdf(const sdf::TimedGraph& hsdf) {
   for (const sdf::Channel& c : hsdf.graph.channels()) {
@@ -71,7 +71,6 @@ struct ComponentOutcome {
   Kind kind = Kind::NoCycle;
   std::int64_t num = 0;  ///< cycle weight sum of the maximum-ratio cycle
   std::int64_t den = 1;  ///< cycle delay sum (> 0)
-  std::vector<std::uint32_t> successor;  ///< converged policy (local ids)
 };
 
 /// Reusable arenas of one Howard instance, kept in the solver's Scratch
@@ -97,7 +96,8 @@ struct HowardScratch {
 /// renumbered to dense local ids 0..m-1; `hs.local` holds local
 /// endpoints, `hs.hint[v]` a local preferred successor (kNoNode = none)
 /// used to seed the initial policy. Maximizes the cycle ratio
-/// sum(w)/sum(d).
+/// sum(w)/sum(d); the converged policy is left in `hs.policy` (edge
+/// ids into `hs.local`, kNoEdge = none).
 ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
   ComponentOutcome out;
   const std::vector<Edge>& edges = hs.local;
@@ -118,7 +118,6 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
     hs.outIdx[hs.outOff[v] + hs.cursor[v]++] = static_cast<std::uint32_t>(i);
   }
 
-  constexpr std::uint32_t kNoEdge = 0xffffffffu;
   hs.policy.assign(m, kNoEdge);
   for (std::size_t v = 0; v < m; ++v) {
     if (hs.outOff[v] == hs.outOff[v + 1]) {
@@ -256,18 +255,15 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
     // --- Policy improvement ------------------------------------------
     // Label-correcting improvement: when v adopts a better successor,
     // its (ratio, value) label is rewritten in place, so later
-    // relaxations in the same phase already see it instead of crawling
-    // one node per outer evaluation along long HSDF cycles. The phase
-    // makes at most two full passes over the nodes, in alternating
-    // direction, and stops after a pass that changes nothing. The first
-    // pass runs in descending id order: expansion edges mostly point
-    // from lower to higher copy ids, so relaxing successors first
-    // carries an improvement along a whole chain at once. The second
-    // pass, in ascending order, serves the edges that point the other
-    // way; anything left over is caught by the next outer iteration.
-    // Intermediate labels only steer the pivot path: the outer loop
-    // exits solely when the first pass, which starts from the *exact*
-    // evaluation, finds no improvement — the classical Howard
+    // relaxations in the same pass already see it instead of crawling
+    // one node per outer evaluation along long HSDF cycles. One pass
+    // runs over the nodes in descending id order: expansion edges
+    // mostly point from lower to higher copy ids, so relaxing
+    // successors first carries an improvement along a whole chain at
+    // once; whatever the pass leaves over is caught by the next outer
+    // iteration. Intermediate labels only steer the pivot path: the
+    // outer loop exits solely when a pass that starts from the *exact*
+    // evaluation finds no improvement — the classical Howard
     // termination condition — so the unique fixpoint is unchanged.
     const auto relax = [&](std::uint32_t v) -> bool {
       bool changed = false;
@@ -311,17 +307,10 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
       return changed;
     };
     bool improved = false;
-    bool changed = true;
-    for (int pass = 0; changed && pass < 2; ++pass) {
-      changed = false;
-      const bool descending = (pass % 2) == 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t v = descending ? m - 1 - k : k;
-        if (policy[v] != kNoEdge && relax(static_cast<std::uint32_t>(v))) {
-          changed = true;
-        }
+    for (std::size_t v = m; v-- > 0;) {
+      if (policy[v] != kNoEdge && relax(static_cast<std::uint32_t>(v))) {
+        improved = true;
       }
-      improved = improved || changed;
     }
     if (!improved) {
       std::size_t best = m;
@@ -337,13 +326,6 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
       out.kind = ComponentOutcome::Kind::Ratio;
       out.num = ratioNum[best];
       out.den = ratioDen[best];
-      // Remember the converged policy for warm-starting later solves.
-      out.successor.assign(m, kNoNode);
-      for (std::size_t v = 0; v < m; ++v) {
-        if (policy[v] != kNoEdge) {
-          out.successor[v] = edges[policy[v]].to;
-        }
-      }
       return out;
     }
   }
@@ -358,171 +340,43 @@ ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
 /// of rebuilding adjacency per call used to dominate repeated-analysis
 /// profiles.
 struct CycleRatioSolver::Scratch {
-  // --- cyclic-core peeling (CSR adjacency, both directions) ----------
-  std::vector<std::uint32_t> inDeg, outDeg;
-  std::vector<std::uint32_t> inOff, outOff;  // n+1 CSR offsets
-  std::vector<std::uint32_t> inAdj, outAdj;  // edge endpoints
-  std::vector<std::uint32_t> cursor;         // CSR fill / grouping cursor
-  std::vector<std::uint32_t> queue;          // peel worklist
-  std::vector<char> alive;                   // node -> lies on some cycle
-  // --- edge working sets ---------------------------------------------
-  std::vector<Edge> work;  // cyclic-core edges, contracted in place
   std::vector<Edge> zero;  // zero-delay subset (deadlock check)
-  // --- chain contraction ---------------------------------------------
-  std::vector<std::uint32_t> soleIn, soleOut;  // degree-1 adjacency slots
-  std::vector<char> dead;                      // edge tombstones
   // --- SCC decomposition (iterative Tarjan) --------------------------
-  std::vector<std::uint32_t> edgeOff, edgeIdx;  // out-CSR of work-edge ids
+  std::vector<std::uint32_t> outDeg, cursor;    // CSR degree / fill cursor
+  std::vector<std::uint32_t> edgeOff, edgeIdx;  // out-CSR of edge ids
   std::vector<std::uint32_t> sccIndex, sccLow, sccStack, comp;
   std::vector<char> onStack;
   std::vector<std::uint32_t> dfsNode, dfsEdge;  // explicit DFS stack
   // --- per-component grouping ----------------------------------------
   std::vector<std::uint32_t> localIndex;              // node -> id within comp
   std::vector<std::uint32_t> compNodeOff, compNodes;  // comp -> nodes (id order)
-  std::vector<std::uint32_t> compEdgeOff, compEdges;  // comp -> work-edge ids
+  std::vector<std::uint32_t> compEdgeOff, compEdges;  // comp -> edge ids
   // --- Howard arenas, reused by every component solve ----------------
   HowardScratch howard;
 
-  std::size_t cyclicCore(std::size_t n, const std::vector<Edge>& edges);
-  void contractChains(std::size_t n);
-  std::uint32_t computeSccs(std::size_t n);
-  void groupComponents(std::size_t n, std::uint32_t comps);
+  std::uint32_t computeSccs(std::size_t n, const std::vector<Edge>& edges);
+  void groupComponents(std::size_t n, std::uint32_t comps, const std::vector<Edge>& edges);
 };
 
-/// Nodes on at least one cycle: Kahn-style peeling of nodes with zero
-/// in-degree or zero out-degree, O(V + E). Fills `alive`; returns the
-/// number of surviving nodes.
-std::size_t CycleRatioSolver::Scratch::cyclicCore(std::size_t n,
-                                                  const std::vector<Edge>& edges) {
-  inDeg.assign(n, 0);
+/// Strongly connected components of `edges` via iterative Tarjan.
+/// Component ids are assigned in completion order of a DFS started from
+/// nodes in ascending id order, so they are a pure function of the edge
+/// list. Fills `comp` (kNoNode for nodes without any edge); returns the
+/// count.
+std::uint32_t CycleRatioSolver::Scratch::computeSccs(std::size_t n,
+                                                     const std::vector<Edge>& edges) {
   outDeg.assign(n, 0);
   for (const Edge& e : edges) {
-    ++outDeg[e.from];
-    ++inDeg[e.to];
-  }
-  inOff.assign(n + 1, 0);
-  outOff.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    inOff[v + 1] = inOff[v] + inDeg[v];
-    outOff[v + 1] = outOff[v] + outDeg[v];
-  }
-  inAdj.resize(edges.size());
-  outAdj.resize(edges.size());
-  cursor.assign(n, 0);
-  for (const Edge& e : edges) {
-    inAdj[inOff[e.to] + cursor[e.to]++] = e.from;
-  }
-  cursor.assign(n, 0);
-  for (const Edge& e : edges) {
-    outAdj[outOff[e.from] + cursor[e.from]++] = e.to;
-  }
-
-  alive.assign(n, 1);
-  queue.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (inDeg[v] == 0 || outDeg[v] == 0) {
-      alive[v] = 0;
-      queue.push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-  std::size_t removed = queue.size();
-  while (!queue.empty()) {
-    const std::uint32_t v = queue.back();
-    queue.pop_back();
-    for (std::uint32_t i = inOff[v]; i < inOff[v + 1]; ++i) {
-      const std::uint32_t u = inAdj[i];
-      if (alive[u] != 0 && --outDeg[u] == 0) {
-        alive[u] = 0;
-        ++removed;
-        queue.push_back(u);
-      }
-    }
-    for (std::uint32_t i = outOff[v]; i < outOff[v + 1]; ++i) {
-      const std::uint32_t u = outAdj[i];
-      if (alive[u] != 0 && --inDeg[u] == 0) {
-        alive[u] = 0;
-        ++removed;
-        queue.push_back(u);
-      }
-    }
-  }
-  return n - removed;
-}
-
-/// Ratio-preserving chain contraction: a node with exactly one incoming
-/// and one outgoing edge lies on a cycle only via both, so the pair
-/// (u -> v, v -> x) can be replaced by u -> x with summed weight and
-/// delay without changing any cycle's ratio. HSDF expansions are mostly
-/// such chains (firing-copy sequences, word-level comm stages), so this
-/// typically shrinks the Howard problem by one to two orders of
-/// magnitude. Contracting never changes the degree of u or x, so a
-/// single pass over the initial candidates reaches the fixpoint.
-/// `work` is compacted in place.
-void CycleRatioSolver::Scratch::contractChains(std::size_t n) {
-  inDeg.assign(n, 0);
-  outDeg.assign(n, 0);
-  for (const Edge& e : work) {
-    ++outDeg[e.from];
-    ++inDeg[e.to];
-  }
-  // Per-node single-slot adjacency; only meaningful for degree-1 nodes.
-  soleIn.assign(n, kNoNode);
-  soleOut.assign(n, kNoNode);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (inDeg[work[i].to] == 1) {
-      soleIn[work[i].to] = static_cast<std::uint32_t>(i);
-    }
-    if (outDeg[work[i].from] == 1) {
-      soleOut[work[i].from] = static_cast<std::uint32_t>(i);
-    }
-  }
-  dead.assign(work.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (inDeg[v] != 1 || outDeg[v] != 1) {
-      continue;
-    }
-    const std::uint32_t e1 = soleIn[v];
-    const std::uint32_t e2 = soleOut[v];
-    if (e1 == e2) {
-      continue;  // self-loop: an irreducible single-node cycle
-    }
-    // Merge v into its predecessor: e1 becomes u -> x, e2 dies.
-    work[e1].to = work[e2].to;
-    work[e1].weight += work[e2].weight;
-    work[e1].delay += work[e2].delay;
-    dead[e2] = 1;
-    if (soleIn[work[e1].to] == e2) {
-      soleIn[work[e1].to] = e1;
-    }
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (dead[i] == 0) {
-      work[kept++] = work[i];
-    }
-  }
-  work.resize(kept);
-}
-
-/// Strongly connected components of the contracted core via iterative
-/// Tarjan. Component ids are assigned in completion order of a DFS
-/// started from nodes in ascending id order, so they are a pure
-/// function of the edge list — never of thread scheduling. Fills
-/// `comp` (kNoNode for nodes outside the core); returns the count.
-std::uint32_t CycleRatioSolver::Scratch::computeSccs(std::size_t n) {
-  // Out-CSR of work-edge indices.
-  outDeg.assign(n, 0);
-  for (const Edge& e : work) {
     ++outDeg[e.from];
   }
   edgeOff.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     edgeOff[v + 1] = edgeOff[v] + outDeg[v];
   }
-  edgeIdx.resize(work.size());
+  edgeIdx.resize(edges.size());
   cursor.assign(n, 0);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const std::uint32_t f = work[i].from;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::uint32_t f = edges[i].from;
     edgeIdx[edgeOff[f] + cursor[f]++] = static_cast<std::uint32_t>(i);
   }
 
@@ -549,7 +403,7 @@ std::uint32_t CycleRatioSolver::Scratch::computeSccs(std::size_t n) {
     while (!dfsNode.empty()) {
       const std::uint32_t v = dfsNode.back();
       if (dfsEdge.back() < edgeOff[v + 1]) {
-        const std::uint32_t w = work[edgeIdx[dfsEdge.back()++]].to;
+        const std::uint32_t w = edges[edgeIdx[dfsEdge.back()++]].to;
         if (sccIndex[w] == kNoNode) {
           sccIndex[w] = sccLow[w] = counter++;
           sccStack.push_back(w);
@@ -584,11 +438,12 @@ std::uint32_t CycleRatioSolver::Scratch::computeSccs(std::size_t n) {
   return comps;
 }
 
-/// Bucket core nodes and intra-component edges by component, in id
-/// order. Cross-component edges are dropped: they lie on no cycle, so
-/// they cannot carry the maximum ratio. Fills localIndex/compNodes/
-/// compEdges and their offset tables.
-void CycleRatioSolver::Scratch::groupComponents(std::size_t n, std::uint32_t comps) {
+/// Bucket nodes and intra-component edges by component, in id order.
+/// Cross-component edges are dropped: they lie on no cycle, so they
+/// cannot carry the maximum ratio. Fills localIndex/compNodes/compEdges
+/// and their offset tables.
+void CycleRatioSolver::Scratch::groupComponents(std::size_t n, std::uint32_t comps,
+                                                const std::vector<Edge>& edges) {
   compNodeOff.assign(comps + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (comp[v] != kNoNode) {
@@ -609,9 +464,10 @@ void CycleRatioSolver::Scratch::groupComponents(std::size_t n, std::uint32_t com
     localIndex[v] = cursor[c];
     compNodes[compNodeOff[c] + cursor[c]++] = static_cast<std::uint32_t>(v);
   }
+  // Every edge endpoint was reached by the DFS, so it has a component.
   compEdgeOff.assign(comps + 1, 0);
-  for (const Edge& e : work) {
-    if (comp[e.from] != kNoNode && comp[e.from] == comp[e.to]) {
+  for (const Edge& e : edges) {
+    if (comp[e.from] == comp[e.to]) {
       ++compEdgeOff[comp[e.from] + 1];
     }
   }
@@ -620,10 +476,9 @@ void CycleRatioSolver::Scratch::groupComponents(std::size_t n, std::uint32_t com
   }
   compEdges.resize(compEdgeOff[comps]);
   cursor.assign(comps, 0);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const Edge& e = work[i];
-    if (comp[e.from] != kNoNode && comp[e.from] == comp[e.to]) {
-      const std::uint32_t c = comp[e.from];
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::uint32_t c = comp[edges[i].from];
+    if (c == comp[edges[i].to]) {
       compEdges[compEdgeOff[c] + cursor[c]++] = static_cast<std::uint32_t>(i);
     }
   }
@@ -645,123 +500,91 @@ CycleRatioSolver& CycleRatioSolver::operator=(const CycleRatioSolver& other) {
 CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
                                          const std::vector<CycleRatioEdge>& allEdges) {
   const std::size_t n = nodeCount;
-  constexpr std::uint32_t kNoSuccessor = kNoNode;
   if (!scratch_) {
     scratch_ = std::make_unique<Scratch>();
   }
   Scratch& s = *scratch_;
   CycleRatioResult result;
 
-  // Restrict to the cyclic core; acyclic parts never constrain the
-  // steady-state period.
-  s.cyclicCore(n, allEdges);
-  s.work.clear();
-  for (const Edge& e : allEdges) {
-    if (s.alive[e.from] != 0 && s.alive[e.to] != 0) {
-      s.work.push_back(e);
-    }
-  }
-  if (s.work.empty()) {
-    result.status = CycleRatioResult::Status::Acyclic;
-    return result;
-  }
-
-  // Zero-delay cycle <=> deadlock. Detect first: restrict to zero-delay
-  // edges and check for a cycle among them.
+  // Zero-delay cycle <=> deadlock: some zero-delay edge lies inside a
+  // strongly connected component of the zero-delay subgraph (a
+  // zero-delay self-loop is the one-node case).
   s.zero.clear();
-  for (const Edge& e : s.work) {
+  for (const Edge& e : allEdges) {
     if (e.delay == 0) {
       s.zero.push_back(e);
     }
   }
-  if (!s.zero.empty() && s.cyclicCore(n, s.zero) > 0) {
-    result.status = CycleRatioResult::Status::Deadlock;
-    return result;
+  if (!s.zero.empty()) {
+    s.computeSccs(n, s.zero);
+    for (const Edge& e : s.zero) {
+      if (s.comp[e.from] == s.comp[e.to]) {
+        result.status = CycleRatioResult::Status::Deadlock;
+        return result;
+      }
+    }
   }
-
-  // Shrink the problem: HSDF expansions are dominated by unbranched
-  // chains, which Howard would walk over and over. Contraction keeps
-  // every cycle's weight and delay sums, so the maximum ratio is
-  // unchanged (cross-checked against the brute-force oracle in the
-  // property suite).
-  s.contractChains(n);
 
   // Decompose into strongly connected components. Every cycle lives
   // inside one component, so the global maximum ratio is the maximum of
   // the per-component maxima.
-  const std::uint32_t comps = s.computeSccs(n);
-  if (comps == 0) {
-    result.status = CycleRatioResult::Status::Acyclic;
-    return result;
-  }
-  s.groupComponents(n, comps);
+  const std::uint32_t comps = s.computeSccs(n, allEdges);
+  s.groupComponents(n, comps, allEdges);
 
-  const bool haveHints = preferredSuccessor_.size() == n;
-  std::vector<ComponentOutcome> outcomes(comps);
+  // Solve the components in id order and keep the strict maximum, so
+  // ties break deterministically. Each converged policy is left behind
+  // as warm-start hints in global node ids, which survive a changed
+  // edge layout on the next solve of a perturbed version of this graph.
+  if (preferredSuccessor_.size() != n) {
+    preferredSuccessor_.assign(n, kNoNode);
+  }
+  bool found = false;
+  std::int64_t bestNum = 0;
+  std::int64_t bestDen = 1;
   HowardScratch& hs = s.howard;
   for (std::uint32_t c = 0; c < comps; ++c) {
+    if (s.compEdgeOff[c] == s.compEdgeOff[c + 1]) {
+      continue;  // a lone node without a self-loop lies on no cycle
+    }
     const std::uint32_t nodeBegin = s.compNodeOff[c];
-    const std::uint32_t nodeEnd = s.compNodeOff[c + 1];
-    const std::size_t m = nodeEnd - nodeBegin;
+    const std::size_t m = s.compNodeOff[c + 1] - nodeBegin;
     hs.local.clear();
-    hs.local.reserve(s.compEdgeOff[c + 1] - s.compEdgeOff[c]);
     for (std::uint32_t i = s.compEdgeOff[c]; i < s.compEdgeOff[c + 1]; ++i) {
-      Edge e = s.work[s.compEdges[i]];
+      Edge e = allEdges[s.compEdges[i]];
       e.from = s.localIndex[e.from];
       e.to = s.localIndex[e.to];
       hs.local.push_back(e);
     }
     hs.hint.assign(m, kNoNode);
-    if (haveHints) {
-      for (std::uint32_t i = nodeBegin; i < nodeEnd; ++i) {
-        const std::uint32_t global = s.compNodes[i];
-        const std::uint32_t preferred = preferredSuccessor_[global];
-        if (preferred < n && s.comp[preferred] == c) {
-          hs.hint[i - nodeBegin] = s.localIndex[preferred];
-        }
+    for (std::size_t v = 0; v < m; ++v) {
+      const std::uint32_t preferred = preferredSuccessor_[s.compNodes[nodeBegin + v]];
+      if (preferred < n && s.comp[preferred] == c) {
+        hs.hint[v] = s.localIndex[preferred];
       }
     }
-    outcomes[c] = howardComponent(m, hs);
-  }
-
-  // Deterministic reduction: strict maximum in component-id order.
-  std::uint32_t best = comps;
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    const ComponentOutcome& o = outcomes[c];
+    const ComponentOutcome o = howardComponent(m, hs);
     if (o.kind == ComponentOutcome::Kind::Deadlock) {
       result.status = CycleRatioResult::Status::Deadlock;
       return result;
     }
-    if (o.kind != ComponentOutcome::Kind::Ratio) {
-      continue;
+    if (o.kind == ComponentOutcome::Kind::Ratio &&
+        (!found || Wide(o.num) * bestDen > Wide(bestNum) * o.den)) {
+      found = true;
+      bestNum = o.num;
+      bestDen = o.den;
     }
-    if (best == comps || Wide(o.num) * outcomes[best].den > Wide(outcomes[best].num) * o.den) {
-      best = c;
+    for (std::size_t v = 0; v < m; ++v) {
+      const std::uint32_t e = hs.policy[v];
+      preferredSuccessor_[s.compNodes[nodeBegin + v]] =
+          e == kNoEdge ? kNoNode : s.compNodes[nodeBegin + hs.local[e].to];
     }
   }
-  if (best == comps) {
+  if (!found) {
     result.status = CycleRatioResult::Status::Acyclic;
     return result;
   }
   result.status = CycleRatioResult::Status::Ok;
-  result.ratio = Rational(outcomes[best].num, outcomes[best].den);
-
-  // Remember the optimal policies for the next solve on a perturbed
-  // version of this graph (global node ids, so they survive a changed
-  // edge layout).
-  preferredSuccessor_.assign(n, kNoSuccessor);
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    const ComponentOutcome& o = outcomes[c];
-    if (o.kind != ComponentOutcome::Kind::Ratio) {
-      continue;
-    }
-    for (std::uint32_t i = s.compNodeOff[c]; i < s.compNodeOff[c + 1]; ++i) {
-      const std::uint32_t succ = o.successor[i - s.compNodeOff[c]];
-      if (succ != kNoNode) {
-        preferredSuccessor_[s.compNodes[i]] = s.compNodes[s.compNodeOff[c] + succ];
-      }
-    }
-  }
+  result.ratio = Rational(bestNum, bestDen);
   return result;
 }
 
@@ -917,26 +740,14 @@ ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
   if (timed.execTime.size() != timed.graph.actorCount()) {
     throw AnalysisError("computeThroughputMcr: execTime size does not match actor count");
   }
-  if (!sdf::isConsistent(timed.graph)) {
+  const auto q = sdf::computeRepetitionVector(timed.graph);
+  if (!q) {
     ThroughputResult result;
     result.engine = ThroughputEngine::Mcr;
     result.status = ThroughputResult::Status::Inconsistent;
     return result;
   }
-
-  // Flat expansion: the same encoding sdf::toHsdf plus
-  // toHsdfWithStaticOrder would produce, but as contiguous index tables
-  // — no graph object, no name strings, no per-element allocation.
-  std::uint64_t buildNanos = 0;
-  FlatExpansion flat;
-  {
-    support::ScopedTimer timer(buildNanos);
-    flat.build(timed, resources);
-  }
-  CycleRatioSolver solver;
-  ThroughputResult result = flatThroughput(flat, solver);
-  result.expansionNanos += buildNanos;
-  return result;
+  return expandAndSolve(timed, resources, *q);
 }
 
 }  // namespace mamps::analysis

@@ -83,9 +83,9 @@ struct SolverWarmStart {
 /// solver is cold; the first solve() behaves exactly like
 /// maxCycleRatioHoward().
 ///
-/// Internally a solve runs Kahn-style cyclic-core peeling, a zero-delay
-/// deadlock check, ratio-preserving chain contraction, strongly
-/// connected component decomposition, and one Howard instance per
+/// Internally a solve runs three steps: a zero-delay deadlock check
+/// (an SCC decomposition of the zero-delay edges), a strongly connected
+/// component decomposition of all edges, and one Howard instance per
 /// component, solved in component-id order (every cycle lies inside one
 /// component, so the maximum over them is the global MCR). All per-solve
 /// scratch is retained across calls, so repeated solves allocate

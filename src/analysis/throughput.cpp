@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/mcm.hpp"
+#include "analysis/flat_hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "support/timer.hpp"
 
@@ -574,13 +574,13 @@ ThroughputResult dispatch(const sdf::TimedGraph& timed, const ResourceConstraint
         throw AnalysisError(std::string("computeThroughput: MCR engine not applicable: ") +
                             reason);
       }
-      return computeThroughputMcr(timed, resources);
+      return expandAndSolve(timed, resources, *qOpt);
     }
     // Auto: take the fast path when it is exact and the expansion stays
     // reasonably sized.
     if (representable &&
         hsdfSizeEstimate(timed, resources, *qOpt) <= options.maxMcrHsdfSize) {
-      return computeThroughputMcr(timed, resources);
+      return expandAndSolve(timed, resources, *qOpt);
     }
   }
 

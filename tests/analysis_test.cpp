@@ -1,6 +1,10 @@
 // Unit tests for throughput, cycle-ratio, and buffer-sizing analyses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
 #include "analysis/buffer.hpp"
 #include "analysis/incremental.hpp"
 #include "analysis/mcm.hpp"
@@ -280,6 +284,129 @@ TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
   g.connect(b, 1, a, 1);
   const sdf::TimedGraph timed{std::move(g), {1, 1}};
   EXPECT_FALSE(computeThroughputMcr(timed).ok());
+}
+
+// Graph shapes at the edges of the solver's SCC decomposition and
+// zero-delay check: acyclic tails, long unbranched rings, zero-delay
+// cycles next to live ones, and several components. Every case must
+// agree with the brute-force oracle in status and ratio.
+struct CycleRatioShape {
+  const char* name;
+  std::vector<std::uint64_t> execTime;
+  std::vector<std::array<std::uint32_t, 3>> channels;  // {src, dst, tokens}
+  CycleRatioResult::Status status;
+  Rational ratio;  // expected ratio for Status::Ok
+};
+
+sdf::TimedGraph shapeGraph(const CycleRatioShape& shape) {
+  Graph g;
+  for (std::size_t v = 0; v < shape.execTime.size(); ++v) {
+    std::string name = "v";
+    name += std::to_string(v);
+    g.addActor(std::move(name));
+  }
+  for (const auto& [src, dst, tokens] : shape.channels) {
+    g.connect(src, 1, dst, 1, tokens);
+  }
+  return {std::move(g), shape.execTime};
+}
+
+std::vector<CycleRatioEdge> shapeEdges(const CycleRatioShape& shape) {
+  std::vector<CycleRatioEdge> edges;
+  for (const auto& [src, dst, tokens] : shape.channels) {
+    edges.push_back({src, dst, static_cast<std::int64_t>(shape.execTime[src]),
+                     static_cast<std::int64_t>(tokens)});
+  }
+  return edges;
+}
+
+CycleRatioShape longRing() {
+  // 40 nodes of in- and out-degree 1, weights 1..40, three tokens.
+  CycleRatioShape shape{"LongUnbranchedRing", {}, {}, CycleRatioResult::Status::Ok,
+                        Rational(820, 3)};
+  for (std::uint32_t v = 0; v < 40; ++v) {
+    shape.execTime.push_back(v + 1);
+    shape.channels.push_back({v, (v + 1) % 40, (v % 13 == 12) ? 1u : 0u});
+  }
+  return shape;
+}
+
+std::vector<CycleRatioShape> cycleRatioShapes() {
+  using Status = CycleRatioResult::Status;
+  return {
+      // Source tail 0 -> 1 -> 2 into the ring 2 -> 3 -> 4 -> 2, sink
+      // tail 4 -> 5 -> 6; the heavy tails lie on no cycle.
+      {"CycleWithSourceAndSinkTails",
+       {100, 100, 2, 3, 4, 100, 100},
+       {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}, {4, 2, 1}, {4, 5, 0}, {5, 6, 0}},
+       Status::Ok,
+       Rational(9)},
+      longRing(),
+      // Live ring 0 <-> 1 plus a token-free self-loop on the
+      // zero-time node 2. The zero-delay cycles in this case and the
+      // next are ones Howard's policy never enters: the node's earlier
+      // token-free out-edge wins the cold seed, and a zero-time cycle
+      // adds no value, so only the zero-delay check reports them.
+      {"ZeroDelaySelfLoopOnLiveGraph",
+       {2, 3, 0},
+       {{0, 1, 0}, {1, 0, 1}, {0, 2, 1}, {2, 0, 0}, {2, 2, 0}},
+       Status::Deadlock,
+       Rational(0)},
+      // Live ring 0 <-> 1; acyclic node 2 is the only way into the
+      // component of the token-free 2-cycle 3 <-> 4 of zero-time nodes.
+      {"ZeroDelayTwoCycleBehindAcyclicNode",
+       {2, 3, 5, 0, 0, 5},
+       {{0, 1, 0}, {1, 0, 1}, {2, 3, 0}, {3, 5, 0}, {3, 4, 0}, {4, 3, 0}, {5, 3, 1}},
+       Status::Deadlock,
+       Rational(0)},
+      // Ring 0 <-> 1 (ratio 5) completes first in the DFS, so the
+      // heavier ring 2 <-> 3 (ratio 11/2) is the later component.
+      {"LargerRatioInLaterComponent",
+       {2, 3, 2, 9},
+       {{0, 1, 0}, {1, 0, 1}, {2, 3, 0}, {3, 2, 2}},
+       Status::Ok,
+       Rational(11, 2)},
+  };
+}
+
+TEST(CycleRatioTest, ShapesMatchBruteForce) {
+  for (const CycleRatioShape& shape : cycleRatioShapes()) {
+    SCOPED_TRACE(shape.name);
+    const sdf::TimedGraph timed = shapeGraph(shape);
+    const CycleRatioResult howard = maxCycleRatioHoward(timed);
+    const CycleRatioResult brute = maxCycleRatioBruteForce(timed);
+    EXPECT_EQ(howard.status, shape.status);
+    EXPECT_EQ(brute.status, shape.status);
+    if (shape.status == CycleRatioResult::Status::Ok) {
+      EXPECT_EQ(howard.ratio, shape.ratio);
+      EXPECT_EQ(brute.ratio, shape.ratio);
+    }
+  }
+}
+
+TEST(CycleRatioTest, ShapesKeepTheirVerdictsUnderForeignWarmStarts) {
+  // One solver runs every shape in sequence, forward and then backward,
+  // all over the same node count (the smaller graphs get isolated
+  // padding nodes), so each solve is seeded from another graph's
+  // converged policy.
+  const std::vector<CycleRatioShape> shapes = cycleRatioShapes();
+  std::size_t nodes = 0;
+  for (const CycleRatioShape& shape : shapes) {
+    nodes = std::max(nodes, shape.execTime.size());
+  }
+  CycleRatioSolver solver;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      const CycleRatioShape& shape = shapes[round == 0 ? k : shapes.size() - 1 - k];
+      SCOPED_TRACE(shape.name);
+      const CycleRatioResult warm = solver.solve(nodes, shapeEdges(shape));
+      const CycleRatioResult brute = maxCycleRatioBruteForce(shapeGraph(shape));
+      EXPECT_EQ(warm.status, brute.status);
+      if (brute.ok()) {
+        EXPECT_EQ(warm.ratio, brute.ratio);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- UnifiedEngine
